@@ -29,11 +29,10 @@ type setupTimes struct {
 	total, newCluster, awaitLive time.Duration
 }
 
-func checkpointInterval(streamRate float64) time.Duration {
-	return time.Duration(float64(eventsPerCut) / streamRate * float64(time.Second))
-}
+// checkpointInterval is eventsPerCut events of stream time.
+const checkpointInterval = eventsPerCut * time.Second / streamRate
 
-func clusterConfig(sp spec, in *inputs, dir string, onNotify func(delivery.Notification)) cluster.Config {
+func clusterConfig(in *inputs, dir string, onNotify func(delivery.Notification)) cluster.Config {
 	return cluster.Config{
 		Partitions:         partitions,
 		Replicas:           replicas,
@@ -46,7 +45,7 @@ func clusterConfig(sp spec, in *inputs, dir string, onNotify func(delivery.Notif
 		OnNotify:           onNotify,
 		CheckpointDir:      filepath.Join(dir, "ckpt"),
 		LogDir:             filepath.Join(dir, "log"),
-		CheckpointInterval: checkpointInterval(sp.streamRate),
+		CheckpointInterval: checkpointInterval,
 		ApplyBatch:         applyBatch,
 		ApplyWorkers:       applyWorkers,
 	}
@@ -62,7 +61,7 @@ func deploy(sp spec, in *inputs, dir string, onNotify func(delivery.Notification
 		}
 	}()
 	start := time.Now()
-	cfg := clusterConfig(sp, in, dir, onNotify)
+	cfg := clusterConfig(in, dir, onNotify)
 	sNew := tr.open("setup.new_cluster", -1, parent)
 	if sp.networked {
 		cfg.Listen = "127.0.0.1:0"

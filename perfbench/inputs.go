@@ -10,6 +10,7 @@ import (
 	"motifstream/internal/dynstore"
 	"motifstream/internal/graph"
 	"motifstream/internal/motif"
+	"motifstream/internal/motifdsl"
 	"motifstream/internal/workload"
 )
 
@@ -40,7 +41,7 @@ type sizes struct {
 }
 
 var sizeTable = map[string]sizes{
-	"full": {users: 20_000, follows: 30, warmWindows: 2.5, rungSeconds: 2, restoreCycles: 3, reprovisionCycles: 1},
+	"full": {users: 20_000, follows: 30, warmWindows: 2.5, rungSeconds: 1.5, restoreCycles: 3, reprovisionCycles: 1},
 	"tiny": {users: 2_000, follows: 10, warmWindows: 1.5, rungSeconds: 0.3, restoreCycles: 1, reprovisionCycles: 1},
 }
 
@@ -51,26 +52,26 @@ type inputs struct {
 	// stream has strictly increasing timestamps, so a notification's
 	// trigger timestamp identifies the event that caused it.
 	stream []graph.Edge
-	// readUsers is the user drawn for each scheduled read.
+	// readUsers is the user of each read in the read phase.
 	readUsers []graph.VertexID
 }
 
 // graphSeed pins the static follow graph to the trajectory's graph. The
 // graph is the deployment's offline data, built once; the traffic (the
-// event stream, the schedule and the read users) comes from the run's
+// event stream and the read users) comes from the run's
 // seed. How many candidates an event yields depends mostly on which
 // accounts the graph makes popular, so a per-seed graph would make every
 // run a different deployment.
 const graphSeed = 1
 
 // generate builds the inputs of one run. events is the stream length.
-func generate(sp spec, sz sizes, seed int64, events, reads int) *inputs {
+func generate(sz sizes, seed int64, events, reads int) *inputs {
 	in := &inputs{
 		static: workload.GenFollowGraph(workload.GraphConfig{
 			Users: sz.users, AvgFollows: sz.follows, ZipfS: 1.35, Seed: graphSeed,
 		}),
 		stream: workload.GenEventStream(workload.StreamConfig{
-			Users: sz.users, Events: events, Rate: sp.streamRate,
+			Users: sz.users, Events: events, Rate: streamRate,
 			BurstFraction: 0.35, BurstMeanSize: 12, BurstWindow: window,
 			ContentFraction: 0.25, ZipfS: 1.35, Seed: seed + 1,
 		}),
@@ -111,9 +112,16 @@ func primaryDiamond() motif.Program {
 	return motif.NewDiamond(motif.DiamondConfig{K: 3, Window: window, MaxFanout: 64})
 }
 
-// programs returns one replica's programs: the primary k=3 diamond.
+// programs returns one replica's programs: the primary k=3 diamond and
+// the motif family compiled from the DSL, as the facade's RegisterMotifs
+// does for every replica. The run compiles the family once before any
+// deployment is built, so a compile error here is a bug.
 func programs() []motif.Program {
-	return []motif.Program{primaryDiamond()}
+	family, err := motifdsl.Compile(familyMotifs())
+	if err != nil {
+		panic(fmt.Sprintf("motif family: %v", err))
+	}
+	return append([]motif.Program{primaryDiamond()}, family...)
 }
 
 func dynamicOptions() dynstore.Options {
@@ -130,51 +138,28 @@ func deliveryOptions() delivery.Options {
 	}
 }
 
-// standingMotifs is the pinned 100-motif standing set: four follow
-// families (thresholds k=2..21 each), one content family (k=2..11) and ten
-// k=1 broadcasts, six share groups in all. Emission is capped at four
-// candidates per motif. Traced runs time its compile; no listed workload
-// runs it (see README.md).
-func standingMotifs() string {
+// familySize is how many motifs familyMotifs declares.
+const familySize = 4
+
+// familyMotifs is a small standing set run beside the diamond: a
+// 10-minute follow family like those of the benchmark trajectory's T5
+// set, at thresholds k=3..6. Its plans share one probe prefix, so every
+// event runs through the planned-program interpreter and the engine's
+// shared execution trie. Fanout is capped at 16 (T5 uses 32-128), which
+// keeps the family to about a quarter of the per-event cost and the
+// deployment's capacity near that of the diamond alone.
+func familyMotifs() string {
 	var sb strings.Builder
-	families := []struct {
-		window string
-		fanout int
-	}{{"5m", 64}, {"10m", 64}, {"20m", 32}, {"10m", 128}}
-	for fi, f := range families {
-		for k := 2; k <= 21; k++ {
-			fmt.Fprintf(&sb, `
-motif "follow-f%d-k%d" {
-    match A -> B;
-    match B =[follow]=> C within %s;
-    where count(B) >= %d;
-    emit C to A via B;
-    limit fanout %d;
-    limit candidates 4;
-}`, fi, k, f.window, k, f.fanout)
-		}
-	}
-	for k := 2; k <= 11; k++ {
+	for k := 3; k < 3+familySize; k++ {
 		fmt.Fprintf(&sb, `
-motif "content-k%d" {
+motif "follow-k%d" {
     match A -> B;
-    match B =[retweet]=> C within 5m;
-    match B =[favorite]=> C within 20m;
+    match B =[follow]=> C within 10m;
     where count(B) >= %d;
     emit C to A via B;
-    limit fanout 64;
+    limit fanout 16;
     limit candidates 4;
 }`, k, k)
-	}
-	for i := 0; i < 10; i++ {
-		fmt.Fprintf(&sb, `
-motif "broadcast-%d" {
-    match A -> B;
-    match B =[follow]=> C;
-    where count(B) >= 1;
-    emit C to A;
-    limit candidates 4;
-}`, i)
 	}
 	return sb.String()
 }

@@ -27,7 +27,7 @@ type rung struct {
 // the ladder goes on.
 func (r *runner) runLadder() ([]rung, error) {
 	var out []rung
-	for _, rate := range r.sp.ladder() {
+	for _, rate := range ladder() {
 		var rg rung
 		for attempt := 0; attempt < rungAttempts && !rg.pass; attempt++ {
 			var err error
@@ -106,9 +106,10 @@ func (r *runner) scheduleDelayP90(lo, hi int, rate float64) time.Duration {
 // that is higher. Capacity sits between two rungs, and near it the
 // pass/fail verdict flips from run to run, so the highest passing rung
 // alone jumps by a whole rung step; the throughput on the overloaded rung
-// measures the same edge continuously. It reports false unless the bottom
-// rung passed and the last one failed.
-func ladderVerdict(rungs []rung) (float64, bool, []string) {
+// measures the same edge continuously. Unless the bottom rung passed and
+// the last one was overloaded, the ladder did not bracket the capacity and
+// max_eps is 0.
+func ladderVerdict(rungs []rung) (float64, []string) {
 	var lines []string
 	for _, g := range rungs {
 		verdict := "pass"
@@ -120,7 +121,7 @@ func ladderVerdict(rungs []rung) (float64, bool, []string) {
 	}
 	last := len(rungs) - 1
 	if last < 1 || !rungs[0].pass || !rungs[last].overloaded {
-		return 0, false, lines
+		return 0, append(lines, "ladder: did not bracket the capacity (the bottom rung must pass and the last be overloaded); ladder.max_eps reads 0")
 	}
 	maxEPS := rungs[last].throughput
 	for _, g := range rungs {
@@ -128,5 +129,5 @@ func ladderVerdict(rungs []rung) (float64, bool, []string) {
 			maxEPS = max(maxEPS, g.throughput)
 		}
 	}
-	return maxEPS, true, lines
+	return maxEPS, lines
 }

@@ -41,6 +41,8 @@ var layerNames = []struct{ name, unit string }{
 	{"delivery.delivered_frac", "fraction"},
 	{"broker.queries", "count"},
 	{"broker.failures", "count"},
+	{"broker.read_ms_p50", "ms"},
+	{"broker.read_ms_p90", "ms"},
 	{"transport.cands_rtt_ms_p50", "ms"},
 	{"transport.cands_rtt_ms_p99", "ms"},
 	{"transport.reconnects", "count"},
@@ -55,8 +57,6 @@ var layerNames = []struct{ name, unit string }{
 	{"runtime.goroutines_max", "count"},
 	{"loadgen.push_p50_ms", "ms"},
 	{"loadgen.push_p90_ms", "ms"},
-	{"loadgen.read_p50_ms", "ms"},
-	{"loadgen.read_p90_ms", "ms"},
 	{"loadgen.push_p99_ms", "ms"},
 	{"loadgen.push_samples", "count"},
 	{"trace.spans", "count"},
@@ -118,9 +118,6 @@ func (r *runner) snapshotLayers() map[string]float64 {
 	out["delivery.candidates"] = float64(funnel.Raw)
 	out["delivery.delivered"] = float64(funnel.Delivered)
 	out["delivery.delivered_frac"] = funnel.DeliveryRate()
-	q, f := r.dep.front.Broker().Stats()
-	out["broker.queries"] = float64(q)
-	out["broker.failures"] = float64(f)
 	rtt := histogram(engines, "transport.cands.rtt")
 	out["transport.cands_rtt_ms_p50"] = ms(rtt.P50)
 	out["transport.cands_rtt_ms_p99"] = ms(rtt.P99)

@@ -32,7 +32,8 @@ type options struct {
 	seconds  float64
 	trace    bool
 	workdir  string
-	size     string
+	// size is "full"; the self-tests use "tiny".
+	size string
 	// corrupt drops one push from the reference, so a correct deployment
 	// must fail the gate; the self-tests use it.
 	corrupt bool
@@ -46,9 +47,8 @@ func main() {
 	flag.Float64Var(&opt.seconds, "seconds", 10, "length of the measured segment at the nominal rate")
 	flag.IntVar(&trace, "trace", 0, "1 records spans and reports per-layer metrics")
 	flag.StringVar(&opt.workdir, "workdir", ".bench_build", "directory for the deployment's files and the trace")
-	flag.StringVar(&opt.size, "size", "full", "input size: full, or tiny for the self-tests")
-	flag.BoolVar(&opt.corrupt, "corrupt-reference", false, "drop one push from the reference (self-test of the gate)")
 	flag.Parse()
+	opt.size = "full"
 	opt.trace = trace == 1
 	res, err := runWorkload(opt, os.Stderr)
 	if err != nil {
@@ -129,10 +129,10 @@ func hostShape(opt options, sp spec) map[string]any {
 		"go":          runtime.Version(),
 		"os_arch":     runtime.GOOS + "/" + runtime.GOARCH,
 		"deployment":  sp.shape(),
-		"offered_eps": sp.nominalEPS,
-		"ladder_eps":  sp.ladder(),
-		"reads_per_s": sp.readRPS,
-		"stream_eps":  sp.streamRate,
+		"offered_eps": nominalEPS,
+		"ladder_eps":  ladder(),
+		"reads":       reads,
+		"stream_eps":  streamRate,
 		"seed":        opt.seed,
 		"seconds":     opt.seconds,
 		"size":        opt.size,

@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -19,28 +20,41 @@ type span struct {
 	start, end int64 // ns since the tracer's base
 }
 
-// tracer keeps spans in memory until the run ends. A disabled tracer
-// records nothing and costs one branch per call.
+// tracer keeps spans in memory until the run ends. A tracer that is not
+// recording costs one atomic load per call.
 type tracer struct {
-	on    bool
-	base  time.Time
-	mu    sync.Mutex
-	spans []span
+	enabled bool        // the run is traced
+	on      atomic.Bool // spans are being recorded now
+	base    time.Time
+	mu      sync.Mutex
+	spans   []span
 }
 
-func newTracer(on bool, base time.Time) *tracer {
-	t := &tracer{on: on, base: base}
-	if on {
+func newTracer(enabled bool, base time.Time) *tracer {
+	t := &tracer{enabled: enabled, base: base}
+	if enabled {
 		t.spans = make([]span, 0, 1<<18)
+		t.on.Store(true)
 	}
 	return t
+}
+
+// recording reports whether spans are being recorded now.
+func (t *tracer) recording() bool { return t.on.Load() }
+
+// pause stops (true) or resumes (false) recording in a traced run, so the
+// run can measure stretches without tracing beside stretches with it.
+func (t *tracer) pause(p bool) {
+	if t.enabled {
+		t.on.Store(!p)
+	}
 }
 
 func (t *tracer) now() int64 { return int64(time.Since(t.base)) }
 
 // open starts a span and returns its index, or -1 when tracing is off.
 func (t *tracer) open(name string, id int64, parent int32) int32 {
-	if !t.on {
+	if !t.on.Load() {
 		return -1
 	}
 	now := t.now()
@@ -62,7 +76,7 @@ func (t *tracer) close(i int32) {
 
 // add records a finished span whose times the caller measured.
 func (t *tracer) add(name string, id int64, parent int32, start, end int64) {
-	if !t.on {
+	if !t.on.Load() {
 		return
 	}
 	t.mu.Lock()
@@ -138,16 +152,4 @@ func covered(ivs [][2]int64, lo, hi int64) int64 {
 		}
 	}
 	return total + curE - curS
-}
-
-// spanCost measures what recording one span costs, for the tracing
-// overhead estimate.
-func spanCost() time.Duration {
-	const n = 100_000
-	t := newTracer(true, time.Now())
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		t.add("calibrate", int64(i), -1, t.now(), t.now())
-	}
-	return time.Since(start) / n
 }

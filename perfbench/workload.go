@@ -16,41 +16,44 @@ import (
 	"motifstream/internal/motifdsl"
 )
 
-// spec is one workload. Every rate is a fixed number, never a fraction of
-// a measured capacity, so a faster program is offered the same load.
+// spec is one workload.
 type spec struct {
 	name      string
 	networked bool // hub and workers over loopback TCP
 	recovery  bool // kill/restore and reprovision cycles after the ladder
-	// streamRate is events per second of stream time. It sets how many
-	// events one D window holds, and so how long the warm-up must be.
-	streamRate float64
-	nominalEPS float64 // offered events/s in the measured segment
-	readRPS    float64 // offered reads/s in the measured segment
-	// The max_eps ladder: rungs offered rates ladderBase*ladderStep^i.
-	ladderBase  float64
-	ladderStep  float64
-	ladderRungs int
 }
 
 var specs = []spec{
-	{name: "ingest-diamond", recovery: true, streamRate: 20, nominalEPS: 3000, readRPS: 100,
-		ladderBase: 4800, ladderStep: 1.25, ladderRungs: 9},
-	{name: "networked", networked: true, streamRate: 20, nominalEPS: 3000, readRPS: 100,
-		ladderBase: 4800, ladderStep: 1.25, ladderRungs: 9},
+	{name: "ingest-diamond", recovery: true},
+	{name: "networked", networked: true},
 }
 
-func (sp spec) ladder() []float64 {
-	rates := make([]float64, sp.ladderRungs)
+// The offered load. Every rate is a fixed number, never a fraction of a
+// measured capacity, so a faster program is offered the same load.
+const (
+	// streamRate is events per second of stream time. It sets how many
+	// events one D window holds, and so how long the warm-up must be.
+	streamRate = 20
+	nominalEPS = 3000 // offered events/s in the measured segment
+	// The max_eps ladder offers rates ladderBase*ladderStep^i.
+	ladderBase  = 3600
+	ladderStep  = 1.25
+	ladderRungs = 8
+	// reads is how many reads the read phase makes.
+	reads = 10_000
+)
+
+func ladder() []float64 {
+	rates := make([]float64, ladderRungs)
 	for i := range rates {
-		rates[i] = math.Round(sp.ladderBase * math.Pow(sp.ladderStep, float64(i)))
+		rates[i] = math.Round(ladderBase * math.Pow(ladderStep, float64(i)))
 	}
 	return rates
 }
 
 func (sp spec) shape() string {
-	s := fmt.Sprintf("%d partitions x %d replicas, durable log + checkpoints, apply batch %d x %d workers, diamond k=3",
-		partitions, replicas, applyBatch, applyWorkers)
+	s := fmt.Sprintf("%d partitions x %d replicas, durable log + checkpoints, apply batch %d x %d workers, diamond k=3 + %d family motifs",
+		partitions, replicas, applyBatch, applyWorkers, familySize)
 	if sp.networked {
 		s += ", hub + 2 workers over loopback TCP in one process"
 	}
@@ -61,7 +64,7 @@ func (sp spec) shape() string {
 const (
 	// latencyLimit is the p90 delay a ladder rung must stay under.
 	latencyLimit = 100 * time.Millisecond
-	setupReps    = 3
+	setupReps    = 5
 	// windows splits the measured segment; latency quantiles are taken per
 	// window and the median across windows is reported, so one transient
 	// stall moves one window, not the result.
@@ -74,11 +77,14 @@ const (
 	dGrowthLimit = 0.15
 	// candRatioLimit bounds how far candidates per event may rise from the
 	// second half of the warm-up to the measured segment. Candidates per
-	// event are bursty even on a stationary stream (the median over
-	// 1000-event blocks moves by up to 2.5x either way between 15k-event
-	// stretches), so the guard only catches growth beyond that, the
-	// signature of a D that is still filling.
-	candRatioLimit = 3.0
+	// event follow the stream's bursts even while D stays level: computed
+	// without the cluster for 28 seeds, the ratio of the two medians over
+	// 1000-event blocks ranged from 0.18 to 3.67, and its logarithm had a
+	// mean of -0.12 and a standard deviation of 0.72. A limit of 10 sits 3.3
+	// such deviations above the mean, so a stationary run fails it about
+	// once in 2500 (for a log-normal ratio). The guard catches growth beyond
+	// the bursts; the D guard above is the sensitive one.
+	candRatioLimit = 10.0
 )
 
 type pushSample struct {
@@ -129,8 +135,8 @@ type segment struct {
 	lo, hi         int   // event indices
 	marks          []int // window boundaries, event indices
 	cpuAt          []time.Duration
-	late, readLat  []int64
-	readErrs       int
+	wallAt         []int64 // ns since base
+	late           []int64
 	dAfter         int64
 	ms0, ms1       runtime.MemStats
 	heap           int64 // bytes above the pre-setup baseline
@@ -182,20 +188,22 @@ func runWorkload(opt options, log io.Writer) (*result, error) {
 }
 
 func (r *runner) run(dir string) (*result, error) {
-	warm := int(r.sz.warmWindows * window.Seconds() * r.sp.streamRate)
-	nominal := int(r.sp.nominalEPS * r.opt.seconds)
+	warm := int(r.sz.warmWindows * window.Seconds() * streamRate)
+	nominal := int(nominalEPS * r.opt.seconds)
 	events := warm + nominal
-	for _, rate := range r.sp.ladder() {
+	for _, rate := range ladder() {
 		events += rungAttempts * int(rate*r.sz.rungSeconds)
 	}
-	reads := int(r.sp.readRPS * r.opt.seconds)
 	r.logf("perfbench %s seed=%d: generating %d events\n", r.sp.name, r.opt.seed, events)
-	r.in = generate(r.sp, r.sz, r.opt.seed, events, reads)
+	r.in = generate(r.sz, r.opt.seed, events, reads)
 	r.sched = make([]atomic.Int64, len(r.in.stream))
+	if err := r.compileFamily(); err != nil {
+		return nil, err
+	}
 	if r.opt.trace {
-		if err := r.timeSetupLayers(); err != nil {
-			return nil, err
-		}
+		build, bytes := timeStaticBuild(r.in, r.tr)
+		r.lay["statstore.build_s"] = build.Seconds()
+		r.lay["statstore.bytes"] = float64(bytes)
 	}
 
 	// The heap baseline is taken after the inputs exist and before any
@@ -213,10 +221,11 @@ func (r *runner) run(dir string) (*result, error) {
 		return nil, err
 	}
 	candWarm := r.candsPerEvent(uint64(warm/2), uint64(warm))
-	seg, err := r.measure(nominal, reads)
+	seg, err := r.measure(nominal)
 	if err != nil {
 		return nil, err
 	}
+	readErrs := r.readPhase()
 	seg.heap -= int64(heapBase)
 	problems := stationarity(dQuarters, seg, candWarm)
 	info := []string{fmt.Sprintf("stationarity: dynstore.edges per warm-up quarter %v, %d after the segment; candidates/event %.3f late warm-up, %.3f in segment",
@@ -227,12 +236,9 @@ func (r *runner) run(dir string) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxEPS, ladderOK, ladderLines := ladderVerdict(rungs)
+	maxEPS, ladderLines := ladderVerdict(rungs)
 	r.lay["ladder.max_eps"] = maxEPS
 	info = append(info, ladderLines...)
-	if !ladderOK {
-		problems = append(problems, "ladder does not bracket the capacity: its bottom rung must pass and its last rung be overloaded")
-	}
 	if r.sp.recovery {
 		if err := r.recover(); err != nil {
 			return nil, err
@@ -273,35 +279,31 @@ func (r *runner) run(dir string) (*result, error) {
 	}
 	res.info = info
 	res.attempted = int(r.published.Load()) + reads
-	res.failed = r.publishErrs + seg.readErrs + missing + extra + unmatched + int(reconnects)
+	res.failed = r.publishErrs + readErrs + missing + extra + unmatched + int(reconnects)
 	res.problems = problems
 	if res.failed > 0 && len(problems) == 0 {
 		res.problems = append(res.problems, fmt.Sprintf("%d failed operations (publish %d, read %d, transport reconnects %d)",
-			res.failed, r.publishErrs, seg.readErrs, reconnects))
+			res.failed, r.publishErrs, readErrs, reconnects))
 	}
 	res.correct = len(res.problems) == 0
 	r.logf("done\n")
 	return res, nil
 }
 
-// timeSetupLayers times the setup layers outside any deployment: the
-// compile of the pinned standing set and statstore builds of every
-// partition.
-func (r *runner) timeSetupLayers() error {
+// compileFamily checks that the motif family compiles to its programs
+// before any deployment is built, and times the compile.
+func (r *runner) compileFamily() error {
 	s := r.tr.open("motifdsl.compile", -1, -1)
 	start := time.Now()
-	progs, err := motifdsl.Compile(standingMotifs())
+	progs, err := motifdsl.Compile(familyMotifs())
 	r.lay["motifdsl.compile_ms"] = ms(time.Since(start))
 	r.tr.close(s)
 	if err != nil {
-		return fmt.Errorf("standing motifs: %w", err)
+		return fmt.Errorf("motif family: %w", err)
 	}
-	if len(progs) != 100 {
-		return fmt.Errorf("standing set compiled to %d programs, want 100", len(progs))
+	if len(progs) != familySize {
+		return fmt.Errorf("motif family compiled to %d programs, want %d", len(progs), familySize)
 	}
-	build, bytes := timeStaticBuild(r.in, r.tr)
-	r.lay["statstore.build_s"] = build.Seconds()
-	r.lay["statstore.bytes"] = float64(bytes)
 	return nil
 }
 
@@ -351,9 +353,9 @@ func (r *runner) warmUp(warm int) ([]int64, error) {
 }
 
 // measure runs the measured segment: nominal events open loop at the
-// nominal rate with reads beside them.
-func (r *runner) measure(nominal, reads int) (*segment, error) {
-	r.logf("measured segment: %d events at %.0f/s, %d reads at %.0f/s\n", nominal, r.sp.nominalEPS, reads, r.sp.readRPS)
+// nominal rate.
+func (r *runner) measure(nominal int) (*segment, error) {
+	r.logf("measured segment: %d events at %d/s\n", nominal, nominalEPS)
 	seg := &segment{lo: r.next, hi: r.next + nominal}
 	// A collection right before the segment puts the segment's own
 	// collections at the same points in every run: with a live heap of
@@ -363,18 +365,11 @@ func (r *runner) measure(nominal, reads int) (*segment, error) {
 	runtime.ReadMemStats(&seg.ms0)
 	seg.span = r.tr.open("nominal", -1, -1)
 	seg.start = r.now()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		seg.readLat, seg.readErrs = r.readLoop(seg.start+int64(time.Millisecond), reads, r.sp.readRPS, seg.span)
-	}()
 	seg.marks = make([]int, windows+1)
 	for k := range seg.marks {
 		seg.marks[k] = seg.lo + nominal*k/windows
 	}
-	seg.late, seg.cpuAt = r.openLoop(seg.lo, seg.hi, r.sp.nominalEPS, seg.span, seg.marks)
-	wg.Wait()
+	seg.late, seg.cpuAt, seg.wallAt = r.openLoop(seg.lo, seg.hi, nominalEPS, seg.span, seg.marks)
 	seg.genEnd = r.now()
 	if err := r.drain(); err != nil {
 		return nil, err
@@ -436,32 +431,42 @@ func (r *runner) endToEnd(seg *segment, setups []float64, info []string) ([]metr
 	r.mu.Lock()
 	pushes := r.pushes
 	r.mu.Unlock()
-	var wP50, wP90, wCPU, wR50, wR90 []float64
+	var wP50, wP90, wCPU []float64
 	for k := 0; k < windows; k++ {
 		lo, hi := seg.marks[k], seg.marks[k+1]
 		wp := firstPushes(pushes, lo, hi)
 		wP50 = append(wP50, msNS(quantile(wp, 0.5)))
 		wP90 = append(wP90, msNS(quantile(wp, 0.9)))
 		wCPU = append(wCPU, (seg.cpuAt[k+1]-seg.cpuAt[k]).Seconds()*1e6/float64(hi-lo))
-		n := len(seg.readLat)
-		wr := append([]int64(nil), seg.readLat[n*k/windows:n*(k+1)/windows]...)
-		wR50 = append(wR50, msNS(quantile(wr, 0.5)))
-		wR90 = append(wR90, msNS(quantile(wr, 0.9)))
 	}
 	nominal := seg.hi - seg.lo
 	all := firstPushes(pushes, seg.lo, seg.hi)
 	cpu := (seg.cpuAt[windows] - seg.cpuAt[0]).Seconds() * 1e6 / float64(nominal)
 	r.lay["loadgen.push_p50_ms"] = median(wP50)
 	r.lay["loadgen.push_p90_ms"] = median(wP90)
-	r.lay["loadgen.read_p50_ms"] = median(wR50)
-	r.lay["loadgen.read_p90_ms"] = median(wR90)
 	r.lay["loadgen.push_p99_ms"] = msNS(quantile(all, 0.99))
 	r.lay["loadgen.push_samples"] = float64(len(all))
-	r.lay["trace.cpu_us_per_event"] = cpu
+	if r.opt.trace {
+		// Even windows were traced and odd ones not (see openLoop); the
+		// difference in CPU per event between them is the tracing overhead.
+		var cpuOn, cpuOff time.Duration
+		var nOn, nOff int
+		for k := 0; k < windows; k++ {
+			d, n := seg.cpuAt[k+1]-seg.cpuAt[k], seg.marks[k+1]-seg.marks[k]
+			if k%2 == 0 {
+				cpuOn, nOn = cpuOn+d, nOn+n
+			} else {
+				cpuOff, nOff = cpuOff+d, nOff+n
+			}
+		}
+		on, off := us(cpuOn)/float64(nOn), us(cpuOff)/float64(nOff)
+		r.lay["trace.cpu_us_per_event"] = on
+		r.lay["trace.overhead_us_per_event"] = on - off
+	}
 	info = append(info,
-		fmt.Sprintf("samples: %d pushing events and %d reads in the segment; setups %.3f s; generator done at %.2fs of the segment",
-			len(all), len(seg.readLat), setups, float64(seg.genEnd-seg.start)/1e9),
-		fmt.Sprintf("windows: push p50 %.3f ms, push p90 %.3f ms, cpu %.1f us/event, read p50 %.3f ms, read p90 %.3f ms", wP50, wP90, wCPU, wR50, wR90))
+		fmt.Sprintf("samples: %d pushing events in the segment; setups %.3f s; generator done at %.2fs of the segment",
+			len(all), setups, float64(seg.genEnd-seg.start)/1e9),
+		fmt.Sprintf("windows: push p50 %.3f ms, push p90 %.3f ms, cpu %.1f us/event", wP50, wP90, wCPU))
 	if r.sp.recovery {
 		info = append(info, fmt.Sprintf("restore_s %.4f s (mean kill -> live over %d cycles)", r.lay["recovery.restore_s"], r.sz.restoreCycles))
 	}
@@ -493,25 +498,24 @@ func (r *runner) layerMetrics(seg *segment) error {
 	spans := r.tr.snapshot()
 	var pub []int64
 	var busy int64
-	inSeg := 0
 	for _, s := range spans {
 		if s.name == "publish" && s.parent == seg.span {
 			pub = append(pub, s.end-s.start)
 			busy += s.end - s.start
 		}
-		if s.end >= seg.start && s.start <= seg.genEnd {
-			inSeg++
-		}
+	}
+	var traced int64
+	for k := 0; k < windows; k += 2 {
+		traced += seg.wallAt[k+1] - seg.wallAt[k]
 	}
 	lay["cluster.publish_us_p50"] = float64(quantile(pub, 0.5)) / 1e3
 	lay["cluster.publish_us_p99"] = float64(quantile(pub, 0.99)) / 1e3
-	lay["cluster.publish_busy_frac"] = float64(busy) / float64(seg.genEnd-seg.start)
+	lay["cluster.publish_busy_frac"] = float64(busy) / float64(traced)
 	self := selfTimes(spans)
 	for _, name := range selfTimeNames {
 		lay["trace.self_ms."+name] = ms(self[name])
 	}
 	lay["trace.spans"] = float64(len(spans))
-	lay["trace.overhead_us_per_event"] = float64(spanCost().Nanoseconds()) * float64(inSeg) / float64(seg.hi-seg.lo) / 1e3
 	path := filepath.Join(r.opt.workdir, "trace-"+r.sp.name+".jsonl")
 	if err := r.tr.write(path); err != nil {
 		return fmt.Errorf("write trace: %w", err)
@@ -533,7 +537,7 @@ func (r *runner) onNotify(n delivery.Notification) {
 		r.pushes = append(r.pushes, pushSample{int32(idx), start - due})
 	}
 	r.mu.Unlock()
-	if r.tr.on {
+	if r.tr.recording() {
 		r.tr.add("notify", int64(idx), -1, start, r.now())
 	}
 }
@@ -565,15 +569,18 @@ func (r *runner) publish(i int, parent int32, start int64) {
 	}
 	r.next = i + 1
 	r.published.Store(uint64(i + 1))
-	if r.tr.on {
+	if r.tr.recording() {
 		r.tr.add("publish", int64(i), parent, start, r.now())
 	}
 }
 
 // openLoop publishes events [lo, hi) on a fixed schedule at rate events/s
-// and returns how late each send was, and the process CPU time read just
-// before each event index in marks (and at the end, for mark hi).
-func (r *runner) openLoop(lo, hi int, rate float64, parent int32, marks []int) ([]int64, []time.Duration) {
+// and returns how late each send was, and the process CPU time and the
+// time read just before each event index in marks (and at the end, for
+// mark hi). The marks split the events into windows; in a traced run,
+// spans are recorded in even windows only, so the odd ones measure the
+// same work without tracing.
+func (r *runner) openLoop(lo, hi int, rate float64, parent int32, marks []int) ([]int64, []time.Duration, []int64) {
 	start := r.now() + int64(time.Millisecond)
 	step := float64(time.Second) / rate
 	for i := lo; i < hi; i++ {
@@ -581,9 +588,13 @@ func (r *runner) openLoop(lo, hi int, rate float64, parent int32, marks []int) (
 	}
 	late := make([]int64, 0, hi-lo)
 	var cpu []time.Duration
+	var wall []int64
+	defer r.tr.pause(false)
 	for i := lo; i < hi; i++ {
 		for len(cpu) < len(marks) && marks[len(cpu)] == i {
+			r.tr.pause(len(cpu)%2 == 1)
 			cpu = append(cpu, rusage())
+			wall = append(wall, r.now())
 		}
 		due := r.sched[i].Load()
 		if d := due - r.now(); d > 0 {
@@ -595,29 +606,34 @@ func (r *runner) openLoop(lo, hi int, rate float64, parent int32, marks []int) (
 	}
 	for len(cpu) < len(marks) {
 		cpu = append(cpu, rusage())
+		wall = append(wall, r.now())
 	}
-	return late, cpu
+	return late, cpu, wall
 }
 
-// readLoop issues n reads open loop at rps from start and returns each
-// read's latency from its scheduled time.
-func (r *runner) readLoop(start int64, n int, rps float64, parent int32) (lat []int64, errs int) {
-	step := float64(time.Second) / rps
-	lat = make([]int64, 0, n)
-	for j := 0; j < n; j++ {
-		due := start + int64(float64(j)*step)
-		if d := due - r.now(); d > 0 {
-			time.Sleep(time.Duration(d))
-		}
+// readPhase makes the reads closed loop, one after another, with the
+// generator paused, records their latency quantiles and the broker's
+// counters, and returns how many failed.
+func (r *runner) readPhase() (errs int) {
+	r.logf("read phase: %d reads\n", len(r.in.readUsers))
+	s := r.tr.open("reads", -1, -1)
+	lat := make([]int64, 0, len(r.in.readUsers))
+	for j, u := range r.in.readUsers {
 		t := r.now()
-		if _, err := r.dep.front.RecommendationsFor(r.in.readUsers[j]); err != nil {
+		if _, err := r.dep.front.RecommendationsFor(u); err != nil {
 			errs++
 		}
 		end := r.now()
-		lat = append(lat, end-due)
-		r.tr.add("read", int64(j), parent, t, end)
+		lat = append(lat, end-t)
+		r.tr.add("read", int64(j), s, t, end)
 	}
-	return lat, errs
+	r.tr.close(s)
+	r.lay["broker.read_ms_p50"] = msNS(quantile(lat, 0.5))
+	r.lay["broker.read_ms_p90"] = msNS(quantile(lat, 0.9))
+	q, f := r.dep.front.Broker().Stats()
+	r.lay["broker.queries"] = float64(q)
+	r.lay["broker.failures"] = float64(f)
+	return errs
 }
 
 func (r *runner) slots() uint64 { return partitions * replicas }
